@@ -15,18 +15,28 @@
 // change where bytes live, not the work), and the compressed-vs-raw
 // adjacency footprint.
 //
+// A third table reports HOST wall-clock MTEPS of the CPU engines
+// (cpu-serial, cpu-parallel) on the same roots. Those are real seconds on
+// this host, not simulated device time, so they are printed apart and
+// never compared with the simulated columns.
+//
 // HBC_BENCH_JSON=<path> additionally writes one JSON record per
-// (graph, backing) cell for the tracking dashboards.
+// (graph, backing) cell and one per graph for the host CPU engines, for
+// the tracking dashboards.
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/common.hpp"
 #include "core/teps.hpp"
+#include "cpu/brandes.hpp"
+#include "cpu/parallel_brandes.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/storage/compressed.hpp"
@@ -49,6 +59,15 @@ void record_json(const std::string& graph, const char* backing, double open_cold
     << ",\"open_warm_ms\":" << open_warm_ms << ",\"mteps\":" << mteps
     << ",\"adjacency_bytes\":" << adjacency_bytes << ",\"file_bytes\":" << file_bytes
     << "}";
+  g_json_records.push_back(r.str());
+}
+
+void record_host_json(const std::string& graph, double serial_mteps, double parallel_mteps,
+                      std::size_t threads) {
+  std::ostringstream r;
+  r << "{\"bench\":\"table3_host\",\"graph\":\"" << graph
+    << "\",\"serial_host_mteps\":" << serial_mteps
+    << ",\"parallel_host_mteps\":" << parallel_mteps << ",\"threads\":" << threads << "}";
   g_json_records.push_back(r.str());
 }
 
@@ -76,6 +95,21 @@ struct StorageRow {
   std::size_t file_bytes;
 };
 
+struct HostRow {
+  std::string graph;
+  double serial_mteps;
+  double parallel_mteps;
+  bool relabeled;
+};
+
+/// Host wall-clock MTEPS (Eq. 4 over real seconds) of one CPU engine run.
+template <class Run>
+double host_mteps(const graph::CSRGraph& g, Run&& run) {
+  util::Timer wall;
+  const cpu::BrandesResult r = run();
+  return core::as_mteps(core::teps_bc(g, r.roots_processed, wall.elapsed_seconds()));
+}
+
 double sampling_mteps(const graph::CSRGraph& g, const kernels::RunConfig& config) {
   const auto r = kernels::run_sampling(g, config);
   return core::as_mteps(
@@ -102,6 +136,8 @@ int main() {
 
   std::vector<double> speedups;
   std::vector<StorageRow> storage_rows;
+  std::vector<HostRow> host_rows;
+  const std::size_t host_threads = std::max(1u, std::thread::hardware_concurrency());
   for (const auto& family : graph::gen::table3_family()) {
     const std::uint32_t scale = scale_override ? scale_override : family.default_scale;
     const std::uint32_t num_roots = roots_override ? roots_override : family.default_roots;
@@ -124,6 +160,15 @@ int main() {
 
     std::printf("%-20s %14.2f %14.2f %9.2fx\n", family.name.c_str(), ep_mteps, sa_mteps,
                 speedup);
+
+    cpu::BrandesOptions serial;
+    serial.sources = config.roots;
+    cpu::ParallelBrandesOptions parallel;
+    parallel.sources = config.roots;
+    parallel.num_threads = host_threads;
+    host_rows.push_back({family.name, host_mteps(g, [&] { return cpu::brandes(g, serial); }),
+                         host_mteps(g, [&] { return cpu::parallel_brandes(g, parallel); }),
+                         cpu::relabels_for(g, config.roots.size())});
 
     // Storage-backing axis: same sampling run from each backing. Cold
     // open includes full validation + fingerprint recomputation; warm
@@ -189,6 +234,19 @@ int main() {
   std::printf("\nMTEPS is simulated-device time and must be identical across\n"
               "backings (the ledger charges decoded bytes); the columns that\n"
               "move are open cost and the adjacency footprint.\n");
+
+  std::printf("\nHost wall clock — CPU engines on the same roots (%zu threads for\n"
+              "cpu-parallel). Real seconds on this host, not the device model:\n"
+              "do not compare with the simulated MTEPS above.\n",
+              host_threads);
+  std::printf("%-20s %18s %20s %9s\n", "Graph", "cpu-serial MTEPS", "cpu-parallel MTEPS",
+              "Relabel");
+  bench::print_rule();
+  for (const HostRow& row : host_rows) {
+    std::printf("%-20s %18.2f %20.2f %9s\n", row.graph.c_str(), row.serial_mteps,
+                row.parallel_mteps, row.relabeled ? "yes" : "no");
+    record_host_json(row.graph, row.serial_mteps, row.parallel_mteps, host_threads);
+  }
 
   emit_json();
   return 0;

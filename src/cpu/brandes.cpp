@@ -1,7 +1,7 @@
 #include "cpu/brandes.hpp"
 
 #include "cpu/brandes_impl.hpp"
-#include "graph/storage/compressed.hpp"
+#include "graph/adjacency.hpp"
 #include "graph/types.hpp"
 
 namespace hbc::cpu {
@@ -9,33 +9,23 @@ namespace hbc::cpu {
 using graph::CSRGraph;
 using graph::VertexId;
 
-namespace {
-
-// Dispatch on the backing: compressed storages get the streaming decode
-// instantiation (no adjacency materialization on the CPU path); raw
-// backings get the contiguous-span instantiation. Both produce
-// bitwise-identical scores — see brandes_impl.hpp.
-const graph::storage::CompressedStorage* compressed_backing(const CSRGraph& g) {
-  if (!graph::storage::is_compressed(g.residency())) return nullptr;
-  return dynamic_cast<const graph::storage::CompressedStorage*>(g.storage().get());
-}
-
-}  // namespace
+// Every entry point dispatches once on the backing (graph/adjacency.hpp):
+// compressed storages get the streaming decode instantiation, raw
+// backings the contiguous-span one, with bitwise-identical scores.
 
 void brandes_single_source(const CSRGraph& g, VertexId s, std::span<double> bc,
                            BrandesResult* stats) {
-  if (const auto* cs = compressed_backing(g)) {
-    detail::brandes_single_source_impl(cs->stream_view(), s, bc, stats);
-  } else {
-    detail::brandes_single_source_impl(g, s, bc, stats);
-  }
+  graph::visit_adjacency(g, [&](const auto& adj) {
+    detail::Workspace ws(g.num_vertices());
+    detail::accumulate_root(adj, s, ws, bc, stats);
+  });
 }
 
 std::vector<double> single_source_dependencies(const CSRGraph& g, VertexId s) {
-  if (const auto* cs = compressed_backing(g)) {
-    return detail::single_source_dependencies_impl(cs->stream_view(), s);
-  }
-  return detail::single_source_dependencies_impl(g, s);
+  detail::Workspace ws(g.num_vertices());
+  graph::visit_adjacency(
+      g, [&](const auto& adj) { detail::single_source(adj, s, ws, [](VertexId, double) {}); });
+  return std::move(ws.delta);
 }
 
 BrandesResult brandes(const CSRGraph& g, const BrandesOptions& options) {
@@ -43,20 +33,21 @@ BrandesResult brandes(const CSRGraph& g, const BrandesOptions& options) {
   BrandesResult result;
   result.bc.assign(n, 0.0);
 
-  if (options.sources.empty()) {
-    for (VertexId s = 0; s < n; ++s) {
+  graph::visit_adjacency(g, [&](const auto& adj) {
+    detail::Workspace ws(n);
+    auto root = [&](VertexId s) {
       options.cancel.check();
-      brandes_single_source(g, s, result.bc, &result);
+      detail::accumulate_root(adj, s, ws, result.bc, &result);
       ++result.roots_processed;
+    };
+    if (options.sources.empty()) {
+      for (VertexId s = 0; s < n; ++s) root(s);
+    } else {
+      for (VertexId s : options.sources) {
+        if (s < n) root(s);
+      }
     }
-  } else {
-    for (VertexId s : options.sources) {
-      if (s >= n) continue;
-      options.cancel.check();
-      brandes_single_source(g, s, result.bc, &result);
-      ++result.roots_processed;
-    }
-  }
+  });
   return result;
 }
 

@@ -1,14 +1,15 @@
 #include "cpu/edge_bc.hpp"
 
 #include <algorithm>
+#include <span>
 
+#include "cpu/brandes_impl.hpp"
 #include "graph/types.hpp"
 
 namespace hbc::cpu {
 
 using graph::CSRGraph;
 using graph::EdgeOffset;
-using graph::kInfDistance;
 using graph::VertexId;
 
 EdgeBCResult edge_betweenness(const CSRGraph& g, const std::vector<VertexId>& sources) {
@@ -17,50 +18,23 @@ EdgeBCResult edge_betweenness(const CSRGraph& g, const std::vector<VertexId>& so
   result.edge_bc.assign(g.num_directed_edges(), 0.0);
   result.vertex_bc.assign(n, 0.0);
 
-  std::vector<std::uint32_t> d(n);
-  std::vector<double> sigma(n);
-  std::vector<double> delta(n);
-  std::vector<VertexId> order;
-  order.reserve(n);
+  // Per-edge policy: successor edge k of w is directed edge row_offsets[w] + k.
+  struct EdgePolicy {
+    std::vector<double>& vertex_bc;
+    std::vector<double>& edge_bc;
+    std::span<const EdgeOffset> offsets;
+    VertexId s;
+    void operator()(VertexId w, double dw) {
+      if (w != s) vertex_bc[w] += dw;
+    }
+    // Edge (w -> its k-th neighbor) carries this much s-dependency.
+    void edge(VertexId w, std::size_t k, double c) { edge_bc[offsets[w] + k] += c; }
+  };
 
+  detail::Workspace ws(n);
   auto run_source = [&](VertexId s) {
-    std::fill(d.begin(), d.end(), kInfDistance);
-    std::fill(sigma.begin(), sigma.end(), 0.0);
-    std::fill(delta.begin(), delta.end(), 0.0);
-    order.clear();
-
-    d[s] = 0;
-    sigma[s] = 1.0;
-    order.push_back(s);
-    std::size_t head = 0;
-    while (head < order.size()) {
-      const VertexId v = order[head++];
-      for (VertexId w : g.neighbors(v)) {
-        if (d[w] == kInfDistance) {
-          d[w] = d[v] + 1;
-          order.push_back(w);
-        }
-        if (d[w] == d[v] + 1) sigma[w] += sigma[v];
-      }
-    }
-
-    const auto offsets = g.row_offsets();
-    const auto cols = g.col_indices();
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const VertexId w = *it;
-      double dsw = 0.0;
-      for (EdgeOffset e = offsets[w]; e < offsets[w + 1]; ++e) {
-        const VertexId v = cols[e];
-        if (d[v] == d[w] + 1) {
-          const double contribution = (sigma[w] / sigma[v]) * (1.0 + delta[v]);
-          dsw += contribution;
-          // Edge (w -> v) carries this much s-dependency.
-          result.edge_bc[e] += contribution;
-        }
-      }
-      delta[w] = dsw;
-      if (w != s) result.vertex_bc[w] += dsw;
-    }
+    detail::single_source(g, s, ws,
+                          EdgePolicy{result.vertex_bc, result.edge_bc, g.row_offsets(), s});
   };
 
   if (sources.empty()) {

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "graph/adjacency.hpp"
 #include "graph/algorithms.hpp"
-#include "graph/builder.hpp"
 #include "graph/types.hpp"
 
 namespace hbc::graph {
@@ -23,31 +23,71 @@ std::vector<double> RelabeledGraph::project_back(std::vector<double> scores,
 
 namespace {
 
-/// Build the relabeled graph given a full new->old ordering (a
-/// permutation or a subset, in new-id order).
-RelabeledGraph rebuild(const CSRGraph& g, std::vector<VertexId> new_to_old) {
-  std::vector<VertexId> old_to_new(g.num_vertices(), kInvalidVertex);
-  for (std::size_t new_id = 0; new_id < new_to_old.size(); ++new_id) {
-    old_to_new[new_to_old[new_id]] = static_cast<VertexId>(new_id);
-  }
+struct Rows {
+  std::vector<EdgeOffset> offsets;
+  std::vector<VertexId> cols;
+};
 
-  GraphBuilder builder(static_cast<VertexId>(new_to_old.size()),
-                       BuildOptions{.symmetrize = g.undirected()});
-  for (std::size_t new_id = 0; new_id < new_to_old.size(); ++new_id) {
-    const VertexId old_u = new_to_old[new_id];
-    for (VertexId old_v : g.neighbors(old_u)) {
-      const VertexId new_v = old_to_new[old_v];
-      if (new_v == kInvalidVertex) continue;  // endpoint dropped
-      // Each undirected edge appears in both adjacencies; add it once.
-      if (!g.undirected() || new_id <= new_v) {
-        builder.add_edge(static_cast<VertexId>(new_id), new_v);
-      }
-    }
+/// Transpose by scatter over k vertices: `each(u, emit)` emits the (new)
+/// id of every out-neighbor of new vertex u, kInvalidVertex for a dropped
+/// one. Sources are visited in ascending id, so every output row comes out
+/// sorted — no per-row sort. O(k + m).
+template <class Each>
+Rows transpose(VertexId k, Each&& each) {
+  Rows t;
+  t.offsets.assign(static_cast<std::size_t>(k) + 1, 0);
+  for (VertexId u = 0; u < k; ++u) {
+    each(u, [&](VertexId w) {
+      if (w != kInvalidVertex) ++t.offsets[w + 1];
+    });
   }
-  return {builder.build(), std::move(new_to_old)};
+  std::partial_sum(t.offsets.begin(), t.offsets.end(), t.offsets.begin());
+  t.cols.resize(t.offsets[k]);
+  std::vector<EdgeOffset> next(t.offsets.begin(), t.offsets.end() - 1);
+  for (VertexId u = 0; u < k; ++u) {
+    each(u, [&](VertexId w) {
+      if (w != kInvalidVertex) t.cols[next[w]++] = u;
+    });
+  }
+  return t;
 }
 
 }  // namespace
+
+RelabeledGraph relabel(const CSRGraph& g, std::vector<VertexId> new_to_old) {
+  const auto k = static_cast<VertexId>(new_to_old.size());
+  std::vector<VertexId> old_to_new(g.num_vertices(), kInvalidVertex);
+  for (VertexId new_id = 0; new_id < k; ++new_id) old_to_new[new_to_old[new_id]] = new_id;
+
+  // One scatter gives each new vertex its in-neighbors, which for the
+  // symmetric adjacency of an undirected graph are its neighbors.
+  Rows t = visit_adjacency(g, [&](const auto& adj) {
+    return transpose(k, [&](VertexId u, auto&& emit) {
+      for (const VertexId v : adj.neighbors(new_to_old[u])) emit(old_to_new[v]);
+    });
+  });
+  // A directed graph needs the transpose of that transpose.
+  if (!g.undirected()) {
+    t = transpose(k, [&](VertexId u, auto&& emit) {
+      for (EdgeOffset e = t.offsets[u]; e < t.offsets[u + 1]; ++e) emit(t.cols[e]);
+    });
+  }
+  return {CSRGraph(std::move(t.offsets), std::move(t.cols), g.undirected()),
+          std::move(new_to_old)};
+}
+
+std::vector<VertexId> degree_order(const CSRGraph& g) {
+  // Counting sort on rank = max_degree - degree: non-increasing degree,
+  // and the ascending scatter keeps ties in old-id order.
+  const VertexId n = g.num_vertices();
+  const VertexId top = g.max_degree();
+  std::vector<VertexId> start(static_cast<std::size_t>(top) + 2, 0);
+  for (VertexId v = 0; v < n; ++v) ++start[top - g.degree(v) + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<VertexId> order(n);
+  for (VertexId v = 0; v < n; ++v) order[start[top - g.degree(v)]++] = v;
+  return order;
+}
 
 RelabeledGraph induced_subgraph(const CSRGraph& g, const std::vector<VertexId>& keep) {
   std::vector<bool> seen(g.num_vertices(), false);
@@ -59,7 +99,7 @@ RelabeledGraph induced_subgraph(const CSRGraph& g, const std::vector<VertexId>& 
       new_to_old.push_back(v);
     }
   }
-  return rebuild(g, std::move(new_to_old));
+  return relabel(g, std::move(new_to_old));
 }
 
 RelabeledGraph largest_component(const CSRGraph& g) {
@@ -73,7 +113,7 @@ RelabeledGraph largest_component(const CSRGraph& g) {
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     if (cc.component[v] == best) keep.push_back(v);
   }
-  return rebuild(g, std::move(keep));
+  return relabel(g, std::move(keep));
 }
 
 RelabeledGraph bfs_relabel(const CSRGraph& g, VertexId source) {
@@ -92,16 +132,11 @@ RelabeledGraph bfs_relabel(const CSRGraph& g, VertexId source) {
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     if (r.distance[v] == kInfDistance) new_to_old.push_back(v);
   }
-  return rebuild(g, std::move(new_to_old));
+  return relabel(g, std::move(new_to_old));
 }
 
 RelabeledGraph degree_sort_relabel(const CSRGraph& g) {
-  std::vector<VertexId> order(g.num_vertices());
-  std::iota(order.begin(), order.end(), VertexId{0});
-  std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-    return g.degree(a) > g.degree(b);
-  });
-  return rebuild(g, std::move(order));
+  return relabel(g, degree_order(g));
 }
 
 }  // namespace hbc::graph

@@ -13,7 +13,9 @@
 //   * induced_subgraph — keep an arbitrary vertex subset.
 //
 // Every transform returns the new graph plus the old-id mapping so scores
-// can be projected back.
+// can be projected back. All of them go through relabel(), an O(n + m)
+// scatter that reads any backing (compressed ones stream, never
+// materialize) and writes a heap CSR whose rows are sorted by new id.
 
 #include <vector>
 
@@ -32,6 +34,17 @@ struct RelabeledGraph {
   std::vector<double> project_back(std::vector<double> scores,
                                    VertexId original_n) const;
 };
+
+/// The graph with old vertex new_to_old[i] renamed i; vertices absent from
+/// new_to_old are dropped with their edges. `new_to_old` must hold distinct
+/// in-range ids. Each row is sorted by new id. The adjacency is otherwise
+/// kept as stored, so for a simple graph (anything GraphBuilder built) the
+/// result is byte-identical to rebuilding the relabeled edge list.
+RelabeledGraph relabel(const CSRGraph& g, std::vector<VertexId> new_to_old);
+
+/// new_to_old order by non-increasing degree, ties by old id: an
+/// O(n + max degree) counting sort.
+std::vector<VertexId> degree_order(const CSRGraph& g);
 
 /// Induced subgraph on `keep` (old ids; duplicates ignored, order kept).
 RelabeledGraph induced_subgraph(const CSRGraph& g, const std::vector<VertexId>& keep);

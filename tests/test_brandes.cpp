@@ -1,10 +1,12 @@
 // Correctness of the CPU oracles: serial Brandes vs the definition-level
 // naive path-counting BC, exact values on the paper's Figure 1 graph, and
-// the parallel Brandes reduction.
+// the parallel Brandes reduction and its locality-first relabel.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "cpu/brandes.hpp"
 #include "cpu/naive.hpp"
@@ -12,6 +14,8 @@
 #include "cpu/parallel_brandes.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/storage/compressed.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -190,6 +194,127 @@ TEST(ParallelBrandes, SourceSubsetMatchesSerialSubset) {
   const auto par = cpu::parallel_brandes(g, {.sources = subset, .num_threads = 3});
   expect_vectors_near(par.bc, serial.bc, 1e-9);
   EXPECT_EQ(par.roots_processed, subset.size());
+}
+
+// --- locality-first relabel (cpu/parallel_brandes.hpp) ---------------------
+
+void expect_relative_near(const std::vector<double>& a, const std::vector<double>& b,
+                          double rel) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_LE(std::abs(a[i] - b[i]), rel * std::max(std::abs(a[i]), std::abs(b[i])))
+        << "index " << i << ": " << a[i] << " vs " << b[i];
+  }
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// parallel_brandes without the relabel rule: the same contiguous range
+/// per worker, one brandes_single_source per root into the worker's
+/// partial, partials summed in worker order.
+std::vector<double> unrelabeled_parallel(const CSRGraph& g, std::vector<VertexId> sources,
+                                         std::size_t threads) {
+  const VertexId n = g.num_vertices();
+  if (sources.empty()) {
+    sources.resize(n);
+    for (VertexId v = 0; v < n; ++v) sources[v] = v;
+  }
+  util::ThreadPool pool(threads);
+  std::vector<std::vector<double>> partials(pool.thread_count(), std::vector<double>(n, 0.0));
+  pool.parallel_ranges(sources.size(), [&](std::size_t tid, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      if (sources[i] < n) cpu::brandes_single_source(g, sources[i], partials[tid]);
+    }
+  });
+  std::vector<double> bc(n, 0.0);
+  for (const auto& p : partials) {
+    for (VertexId v = 0; v < n; ++v) bc[v] += p[v];
+  }
+  return bc;
+}
+
+std::vector<VertexId> spread_roots(const CSRGraph& g, VertexId count) {
+  std::vector<VertexId> roots;
+  for (VertexId i = 0; i < count; ++i) {
+    roots.push_back(static_cast<VertexId>(std::uint64_t{i} * g.num_vertices() / count));
+  }
+  return roots;
+}
+
+const CSRGraph& kron12() {
+  static const CSRGraph g = graph::gen::kronecker({.scale = 12, .edge_factor = 8, .seed = 5});
+  return g;
+}
+
+TEST(ParallelBrandesRelabel, KronMatchesSerialWithBatchAndAllRoots) {
+  const CSRGraph& g = kron12();
+  const std::vector<VertexId> batch = spread_roots(g, 96);
+  ASSERT_TRUE(cpu::relabels_for(g, batch.size()));
+  const auto serial_batch = cpu::brandes(g, {.sources = batch});
+  const auto serial_all = cpu::brandes(g);
+  for (std::size_t threads : {1u, 3u}) {
+    const auto par = cpu::parallel_brandes(g, {.sources = batch, .num_threads = threads});
+    EXPECT_EQ(par.roots_processed, batch.size());
+    EXPECT_EQ(par.edges_traversed, serial_batch.edges_traversed);
+    EXPECT_EQ(par.max_depth_seen, serial_batch.max_depth_seen);
+    expect_relative_near(par.bc, serial_batch.bc, 1e-9);
+  }
+  const auto all = cpu::parallel_brandes(g, {.sources = {}, .num_threads = 4});
+  EXPECT_EQ(all.roots_processed, g.num_vertices());
+  expect_relative_near(all.bc, serial_all.bc, 1e-9);
+}
+
+TEST(ParallelBrandesRelabel, RepeatedCallsAreBitIdentical) {
+  const CSRGraph& g = kron12();
+  const std::vector<VertexId> batch = spread_roots(g, 128);
+  ASSERT_TRUE(cpu::relabels_for(g, batch.size()));
+  const auto first = cpu::parallel_brandes(g, {.sources = batch, .num_threads = 2}).bc;
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(same_bits(first,
+                          cpu::parallel_brandes(g, {.sources = batch, .num_threads = 2}).bc));
+  }
+}
+
+TEST(ParallelBrandesRelabel, CompressedBackingGivesSameBits) {
+  const CSRGraph& g = kron12();
+  const CSRGraph comp(graph::storage::CompressedStorage::compress(
+      g.row_offsets(), g.col_indices(), g.undirected()));
+  const std::vector<VertexId> batch = spread_roots(g, 64);
+  ASSERT_TRUE(cpu::relabels_for(comp, batch.size()));
+  const std::size_t resident = comp.storage()->resident_bytes();
+  const auto heap = cpu::parallel_brandes(g, {.sources = batch, .num_threads = 2}).bc;
+  EXPECT_TRUE(same_bits(heap,
+                        cpu::parallel_brandes(comp, {.sources = batch, .num_threads = 2}).bc));
+  // The call streamed the compressed adjacency and kept no decoded copy.
+  EXPECT_EQ(comp.storage()->resident_bytes(), resident);
+}
+
+TEST(ParallelBrandesRelabel, UnskewedGraphsAndSmallCallsKeepTheirBits) {
+  struct Case {
+    const char* name;
+    CSRGraph g;
+    std::vector<VertexId> sources;  // empty = all vertices
+  };
+  const Case cases[] = {
+      {"rgg", graph::gen::rgg({.scale = 10, .seed = 2}), {}},
+      {"smallworld", graph::gen::small_world({.num_vertices = 1024, .k = 4, .seed = 2}), {}},
+      {"kron, 63 roots", kron12(), spread_roots(kron12(), 63)},
+  };
+  for (const Case& c : cases) {
+    const std::size_t roots = c.sources.empty() ? c.g.num_vertices() : c.sources.size();
+    EXPECT_FALSE(cpu::relabels_for(c.g, roots)) << c.name;
+    for (std::size_t threads : {1u, 2u, 3u}) {
+      const auto par = cpu::parallel_brandes(c.g, {.sources = c.sources, .num_threads = threads});
+      EXPECT_TRUE(same_bits(par.bc, unrelabeled_parallel(c.g, c.sources, threads)))
+          << c.name << " at threads=" << threads;
+      if (threads == 1) {
+        EXPECT_TRUE(same_bits(par.bc, cpu::brandes(c.g, {.sources = c.sources}).bc)) << c.name;
+      }
+    }
+  }
 }
 
 TEST(FineGrainedBrandes, MatchesSerialAcrossThreadCounts) {

@@ -107,10 +107,13 @@ class ChaosFleet {
       if (wc.service.workers == 0) wc.service.workers = 2;
       workers.push_back(std::make_unique<net::Worker>(std::move(wc)));
     }
-    for (auto& w : workers) {
-      threads.emplace_back([worker = w.get()] { worker->run(); });
+    // One worker at a time: slot ids follow connect order, so connecting
+    // workers[i] only after the first i are ready gives it slot i + 1 and
+    // tests can address a configured worker by its slot.
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+      threads.emplace_back([worker = workers[i].get()] { worker->run(); });
+      coordinator->wait_for_workers(i + 1, std::chrono::seconds(20));
     }
-    coordinator->wait_for_workers(n_workers, std::chrono::seconds(20));
   }
 
   /// Abrupt coordinator death (no drain) followed by a warm restart on
@@ -474,8 +477,8 @@ TEST(ChaosFleetE2E, QuarantinedWorkerGetsNoDispatchesButFleetAnswers) {
   cfg.heartbeat_timeout = 120ms;
   cfg.probation_heartbeats = 1000;  // effectively: never readmit
   cfg.straggler_timeout = 100ms;
-  // Worker 0 heartbeats too slowly and will be quarantined; worker 1 is
-  // prompt and carries the query.
+  // Worker 0 (slot 1) heartbeats too slowly and will be quarantined;
+  // worker 1 (slot 2) is prompt and carries the query.
   net::WorkerConfig slow = in_memory_worker(g);
   slow.heartbeat_interval = 10000ms;
   net::WorkerConfig prompt = in_memory_worker(g);

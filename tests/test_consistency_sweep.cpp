@@ -105,43 +105,59 @@ class StorageBackingSweep : public testing::TestWithParam<core::Strategy> {};
 
 TEST_P(StorageBackingSweep, BitwiseIdenticalAcrossBackingsAndThreads) {
   const core::Strategy strategy = GetParam();
-  const CSRGraph heap =
-      graph::gen::erdos_renyi({.num_vertices = 128, .num_edges = 512, .seed = 77});
-
-  // Unique per test process: with gtest_discover_tests each parameterized
-  // instance is its own ctest entry, and a parallel ctest run would have
-  // one instance truncate the file while another still computes from its
-  // mapping of it (SIGBUS).
-  const std::string stem =
-      testing::TempDir() + "sweep-" + std::to_string(static_cast<int>(strategy));
-  const std::string raw = stem + ".hbcg";
-  const std::string comp = stem + ".hbcgz";
-  graph::io::save_binary_v2(heap, raw, /*compress=*/false);
-  graph::io::save_binary_v2(heap, comp, /*compress=*/true);
-
-  struct Backing {
+  // The ER control never triggers cpu-parallel's degree-sort relabel; the
+  // skewed kron graph does (max degree > 16x mean, a 64-root call), so the
+  // relabeled copy built from each backing is covered too.
+  struct GraphCase {
     const char* name;
-    CSRGraph g;
+    CSRGraph heap;
+    std::vector<graph::VertexId> roots;  // empty = all vertices
   };
-  const Backing backings[] = {
-      {"mapped", graph::io::open_mapped(raw)},
-      {"compressed-heap",
-       CSRGraph(graph::storage::CompressedStorage::compress(
-           heap.row_offsets(), heap.col_indices(), heap.undirected()))},
-      {"compressed-mapped", graph::io::open_mapped(comp)},
+  GraphCase cases[] = {
+      {"er", graph::gen::erdos_renyi({.num_vertices = 128, .num_edges = 512, .seed = 77}), {}},
+      {"kron", graph::gen::kronecker({.scale = 9, .edge_factor = 4, .seed = 77}), {}},
   };
+  for (graph::VertexId i = 0; i < 64; ++i) cases[1].roots.push_back(i * 8 + 1);
+  ASSERT_TRUE(cpu::relabels_for(cases[1].heap, cases[1].roots.size()));
 
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    core::Options opt;
-    opt.strategy = strategy;
-    opt.cpu_threads = threads;
-    const std::vector<double> base = core::compute(heap, opt).scores;
-    for (const Backing& b : backings) {
-      const std::vector<double> scores = core::compute(b.g, opt).scores;
-      ASSERT_EQ(scores.size(), base.size()) << b.name;
-      EXPECT_EQ(0, std::memcmp(scores.data(), base.data(),
-                               base.size() * sizeof(double)))
-          << b.name << " diverges from heap at threads=" << threads;
+  for (const GraphCase& c : cases) {
+    const CSRGraph& heap = c.heap;
+    // Unique per test process: with gtest_discover_tests each parameterized
+    // instance is its own ctest entry, and a parallel ctest run would have
+    // one instance truncate the file while another still computes from its
+    // mapping of it (SIGBUS).
+    const std::string stem = testing::TempDir() + "sweep-" +
+                             std::to_string(static_cast<int>(strategy)) + "-" + c.name;
+    const std::string raw = stem + ".hbcg";
+    const std::string comp = stem + ".hbcgz";
+    graph::io::save_binary_v2(heap, raw, /*compress=*/false);
+    graph::io::save_binary_v2(heap, comp, /*compress=*/true);
+
+    struct Backing {
+      const char* name;
+      CSRGraph g;
+    };
+    const Backing backings[] = {
+        {"mapped", graph::io::open_mapped(raw)},
+        {"compressed-heap",
+         CSRGraph(graph::storage::CompressedStorage::compress(
+             heap.row_offsets(), heap.col_indices(), heap.undirected()))},
+        {"compressed-mapped", graph::io::open_mapped(comp)},
+    };
+
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      core::Options opt;
+      opt.strategy = strategy;
+      opt.cpu_threads = threads;
+      opt.roots = c.roots;
+      const std::vector<double> base = core::compute(heap, opt).scores;
+      for (const Backing& b : backings) {
+        const std::vector<double> scores = core::compute(b.g, opt).scores;
+        ASSERT_EQ(scores.size(), base.size()) << c.name << " " << b.name;
+        EXPECT_EQ(0, std::memcmp(scores.data(), base.data(),
+                                 base.size() * sizeof(double)))
+            << c.name << ": " << b.name << " diverges from heap at threads=" << threads;
+      }
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "cpu/weighted_brandes.hpp"
 #include "graph/builder.hpp"
@@ -45,8 +46,11 @@ void expect_matches_oracle(const CSRGraph& g, const cpu::WeightArray& w,
   }
 }
 
+// The family is a std::string, not a const char*: gtest prints a pointer
+// parameter's address into the listed test name, which ASLR changes on
+// every run, so the ctest names would differ from one build to the next.
 class WeightedKernelOracle
-    : public testing::TestWithParam<std::tuple<const char*, WeightedStrategy>> {};
+    : public testing::TestWithParam<std::tuple<std::string, WeightedStrategy>> {};
 
 TEST_P(WeightedKernelOracle, MatchesDijkstraBrandes) {
   const auto& [family, strategy] = GetParam();
@@ -62,7 +66,7 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values(WeightedStrategy::BellmanFordEdgeParallel,
                                      WeightedStrategy::NearFarWorkEfficient)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              (std::get<1>(info.param) == WeightedStrategy::BellmanFordEdgeParallel
                   ? "bellman_ford"
                   : "near_far");
