@@ -20,15 +20,13 @@ UniformApproxResult approximate_bc(const CSRGraph& g, const UniformApproxOptions
 
   const std::uint32_t pivots = std::min<std::uint32_t>(options.num_pivots, n);
   util::Xoshiro256 rng(options.seed);
+  SingleSource single(g);
 
   // Pivots drawn uniformly *with* replacement, as in Brandes–Pich: the
   // estimator stays unbiased and the draw is O(1) per pivot.
   for (std::uint32_t k = 0; k < pivots; ++k) {
     const VertexId s = static_cast<VertexId>(rng.next_below(n));
-    const auto delta = single_source_dependencies(g, s);
-    for (VertexId v = 0; v < n; ++v) {
-      if (v != s) result.bc[v] += delta[v];
-    }
+    single.accumulate(s, result.bc);
     ++result.pivots_used;
   }
 
@@ -47,6 +45,7 @@ AdaptiveApproxResult adaptive_bc(const CSRGraph& g, VertexId target,
   const std::uint32_t cap =
       options.max_pivots == 0 ? n : std::min<std::uint32_t>(options.max_pivots, n);
   util::Xoshiro256 rng(options.seed);
+  SingleSource single(g);
 
   double accumulated = 0.0;
   std::uint32_t k = 0;
@@ -54,8 +53,7 @@ AdaptiveApproxResult adaptive_bc(const CSRGraph& g, VertexId target,
     const VertexId s = static_cast<VertexId>(rng.next_below(n));
     ++k;
     if (s == target) continue;  // delta_s(s) is by definition excluded
-    const auto delta = single_source_dependencies(g, s);
-    accumulated += delta[target];
+    accumulated += single.dependencies(s)[target];
     if (accumulated >= threshold) {
       result.threshold_hit = true;
       break;

@@ -15,17 +15,31 @@ using graph::VertexId;
 
 void brandes_single_source(const CSRGraph& g, VertexId s, std::span<double> bc,
                            BrandesResult* stats) {
-  graph::visit_adjacency(g, [&](const auto& adj) {
-    detail::Workspace ws(g.num_vertices());
-    detail::accumulate_root(adj, s, ws, bc, stats);
-  });
+  SingleSource(g).accumulate(s, bc, stats);
 }
 
 std::vector<double> single_source_dependencies(const CSRGraph& g, VertexId s) {
-  detail::Workspace ws(g.num_vertices());
-  graph::visit_adjacency(
-      g, [&](const auto& adj) { detail::single_source(adj, s, ws, [](VertexId, double) {}); });
-  return std::move(ws.delta);
+  SingleSource single(g);
+  const std::span<const double> delta = single.dependencies(s);
+  return {delta.begin(), delta.end()};
+}
+
+SingleSource::SingleSource(const CSRGraph& g)
+    : g_(g), ws_(std::make_unique<detail::Workspace>(g.num_vertices())) {}
+
+SingleSource::~SingleSource() = default;
+
+void SingleSource::accumulate(VertexId s, std::span<double> bc, BrandesResult* stats) {
+  graph::visit_adjacency(g_, [&](const auto& adj) {
+    detail::accumulate_root(adj, s, *ws_, bc, stats);
+  });
+}
+
+std::span<const double> SingleSource::dependencies(VertexId s) {
+  graph::visit_adjacency(g_, [&](const auto& adj) {
+    detail::single_source(adj, s, *ws_, [](VertexId, double) {});
+  });
+  return ws_->delta;
 }
 
 BrandesResult brandes(const CSRGraph& g, const BrandesOptions& options) {

@@ -10,6 +10,7 @@
 // divide by 2 (core/bc.hpp offers this as an option).
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -43,8 +44,34 @@ void brandes_single_source(const graph::CSRGraph& g, graph::VertexId s,
                            std::span<double> bc, BrandesResult* stats = nullptr);
 
 /// The dependency vector delta_s(v) for all v (without accumulation).
-/// Shared by the approximation estimators and the dynamic updater.
 std::vector<double> single_source_dependencies(const graph::CSRGraph& g,
                                                graph::VertexId s);
+
+namespace detail {
+struct Workspace;
+}
+
+/// The two single-source entry points above over one working set that is
+/// reused from root to root, so a run of roots costs O(reached) per root
+/// instead of an O(n) allocate-and-fill. Bits equal the one-shot calls.
+/// Used by the approximation estimators and the dynamic updaters; one per
+/// thread. `g` must outlive it.
+class SingleSource {
+ public:
+  explicit SingleSource(const graph::CSRGraph& g);
+  ~SingleSource();
+  SingleSource(const SingleSource&) = delete;
+  SingleSource& operator=(const SingleSource&) = delete;
+
+  /// brandes_single_source(g, s, bc, stats).
+  void accumulate(graph::VertexId s, std::span<double> bc,
+                  BrandesResult* stats = nullptr);
+  /// single_source_dependencies(g, s); valid until the next call.
+  std::span<const double> dependencies(graph::VertexId s);
+
+ private:
+  const graph::CSRGraph& g_;
+  std::unique_ptr<detail::Workspace> ws_;
+};
 
 }  // namespace hbc::cpu

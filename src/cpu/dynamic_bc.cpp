@@ -83,6 +83,8 @@ void DynamicBC::apply_update(VertexId u, VertexId v, const CSRGraph& before,
 
   ++stats_.updates;
   const VertexId n = before.num_vertices();
+  SingleSource old_single(before);
+  SingleSource new_single(after);
   for (VertexId s = 0; s < n; ++s) {
     // Undirected graphs: d(s, u) == d(u, s).
     const auto du = from_u.distance[s];
@@ -92,8 +94,8 @@ void DynamicBC::apply_update(VertexId u, VertexId v, const CSRGraph& before,
       continue;
     }
     ++stats_.sources_recomputed;
-    const auto old_delta = single_source_dependencies(before, s);
-    const auto new_delta = single_source_dependencies(after, s);
+    const auto old_delta = old_single.dependencies(s);
+    const auto new_delta = new_single.dependencies(s);
     for (VertexId w = 0; w < n; ++w) {
       if (w == s) continue;
       bc_[w] += new_delta[w] - old_delta[w];

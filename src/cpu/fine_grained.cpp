@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <span>
 
 #include "graph/types.hpp"
 #include "util/thread_pool.hpp"
@@ -30,10 +31,14 @@ struct SharedState {
     for (auto& x : d) x.store(kInfDistance, std::memory_order_relaxed);
   }
 
-  void reset() {
-    for (auto& x : d) x.store(kInfDistance, std::memory_order_relaxed);
-    std::fill(sigma.begin(), sigma.end(), 0.0);
-    std::fill(delta.begin(), delta.end(), 0.0);
+  /// Only the previous root's reached vertices (its stack) were written,
+  /// so only they are reset: O(reached) per root, not O(n).
+  void reset(std::span<const VertexId> reached) {
+    for (const VertexId v : reached) {
+      d[v].store(kInfDistance, std::memory_order_relaxed);
+      sigma[v] = 0.0;
+      delta[v] = 0.0;
+    }
   }
 
   std::vector<std::atomic<std::uint32_t>> d;
@@ -68,7 +73,7 @@ BrandesResult fine_grained_brandes(const CSRGraph& g, const FineGrainedOptions& 
     // Root boundary (the outer loop runs on the calling thread; the pool
     // only splits levels, so throwing here never crosses a pool task).
     options.cancel.check();
-    state.reset();
+    state.reset(stack);
     frontier.assign(1, s);
     stack.assign(1, s);
     ends.assign({0, 1});

@@ -74,6 +74,7 @@ std::vector<double> exact_scores(const CSRGraph& g, util::ThreadPool& pool,
                        [&](std::size_t stripe, std::size_t begin, std::size_t end) {
                          auto& partial = partials[stripe];
                          partial.assign(n, 0.0);
+                         cpu::SingleSource single(g);
                          for (std::size_t s = begin; s < end; ++s) {
                            // Pool tasks must not throw; bail at the source
                            // boundary, the caller re-raises after the join.
@@ -81,8 +82,7 @@ std::vector<double> exact_scores(const CSRGraph& g, util::ThreadPool& pool,
                              cancelled.store(true, std::memory_order_relaxed);
                              return;
                            }
-                           cpu::brandes_single_source(g, static_cast<VertexId>(s),
-                                                      partial);
+                           single.accumulate(static_cast<VertexId>(s), partial);
                          }
                        });
   if (cancelled.load(std::memory_order_relaxed)) cancel.check();
@@ -200,14 +200,16 @@ BatchStats refresh_scores(const CSRGraph& before, const CSRGraph& after,
         [&](std::size_t stripe, std::size_t begin, std::size_t end) {
           auto& partial = partials[stripe];
           partial.assign(n, 0.0);
+          cpu::SingleSource old_single(before);
+          cpu::SingleSource new_single(after);
           for (std::size_t i = begin; i < end; ++i) {
             if (cfg.cancel.cancelled()) {
               cancelled.store(true, std::memory_order_relaxed);
               return;
             }
             const VertexId s = affected_list[i];
-            const auto old_delta = cpu::single_source_dependencies(before, s);
-            const auto new_delta = cpu::single_source_dependencies(after, s);
+            const auto old_delta = old_single.dependencies(s);
+            const auto new_delta = new_single.dependencies(s);
             for (VertexId w = 0; w < n; ++w) {
               if (w == s) continue;
               partial[w] += new_delta[w] - old_delta[w];

@@ -316,6 +316,10 @@ void Coordinator::pump(int timeout_ms) {
         const wire::DecodeStatus s = w.conn->next_frame(frame);
         if (s == wire::DecodeStatus::Ok) {
           handle_frame(w, frame);
+          if (w.cut) {
+            failed = true;
+            break;
+          }
           continue;
         }
         if (s != wire::DecodeStatus::NeedMore) failed = true;  // poisoned stream
@@ -407,7 +411,7 @@ void Coordinator::handle_frame(WorkerState& w, const wire::Frame& frame) {
         }
         trace_instant("graph-load-refused", frame.request_id,
                       {{"worker", std::uint64_t{w.slot}}});
-        worker_dead(w.slot);
+        w.cut = true;
       }
       return;
     }
@@ -472,7 +476,7 @@ void Coordinator::handle_frame(WorkerState& w, const wire::Frame& frame) {
               "worker " + std::to_string(w.slot) + " mutate: " +
               (m.error.empty() ? "fingerprint mismatch" : m.error));
         }
-        worker_dead(w.slot);
+        w.cut = true;
       }
       return;
     }

@@ -251,6 +251,9 @@ class Coordinator {
     std::uint16_t protocol = wire::kProtocolVersion;
     bool ready = false;
     bool goodbye = false;
+    /// Set by handle_frame to disconnect the worker. pump() culls it
+    /// after its frame loop, so the Conn is never freed mid-read.
+    bool cut = false;
     std::uint32_t inflight = 0;  // load-balance hint, clamped at 0
     /// Graph ids confirmed loaded at the coordinator's fingerprint.
     std::set<std::string> graphs;

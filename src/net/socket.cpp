@@ -9,6 +9,7 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -191,6 +192,22 @@ int poll_wait(std::vector<pollfd>& fds, int timeout_ms) {
       throw NetError(std::string("poll: ") + std::strerror(errno));
     }
   }
+}
+
+Waker::Waker() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  if (!fd_.valid()) throw NetError(std::string("eventfd: ") + std::strerror(errno));
+}
+
+void Waker::notify() const noexcept {
+  const std::uint64_t one = 1;
+  // Only fails once the counter is near overflow, when fd() is readable
+  // anyway.
+  [[maybe_unused]] const ssize_t n = ::write(fd_.fd(), &one, sizeof(one));
+}
+
+void Waker::drain() const noexcept {
+  std::uint64_t count = 0;
+  [[maybe_unused]] const ssize_t n = ::read(fd_.fd(), &count, sizeof(count));
 }
 
 Conn::Io Conn::pump_read() {

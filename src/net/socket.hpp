@@ -91,6 +91,24 @@ Socket accept_on(const Socket& listener);
 /// poll() with EINTR retry. Returns the number of ready fds (0 = timeout).
 int poll_wait(std::vector<pollfd>& fds, int timeout_ms);
 
+/// Cross-thread wakeup for a poll loop (a Linux eventfd): notify() from
+/// any thread makes fd() readable until the loop calls drain(). Throws
+/// NetError when the eventfd cannot be created.
+class Waker {
+ public:
+  Waker();
+  // Pinned: notifier callbacks hold its address.
+  Waker(const Waker&) = delete;
+  Waker& operator=(const Waker&) = delete;
+
+  int fd() const noexcept { return fd_.fd(); }
+  void notify() const noexcept;
+  void drain() const noexcept;
+
+ private:
+  Socket fd_;
+};
+
 /// One buffered, nonblocking connection: bytes in, frames out.
 class Conn {
  public:

@@ -1,5 +1,6 @@
 #include "net/worker.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <functional>
 #include <stdexcept>
@@ -16,6 +17,9 @@ namespace hbc::net {
 using Clock = std::chrono::steady_clock;
 
 namespace {
+
+/// Longest poll wait of the worker loop when no heartbeat is due sooner.
+constexpr int kHousekeepingMs = 50;
 
 // "gen:family:scale[:seed]" → generated graph; anything else is a path.
 // Paths ending in .hbcg/.hbcgz open mmap'd (graph::io::read_auto), so a
@@ -43,7 +47,8 @@ graph::CSRGraph default_loader(const std::string& spec) {
 
 }  // namespace
 
-Worker::Worker(WorkerConfig config) : cfg_(std::move(config)), svc_(cfg_.service) {
+Worker::Worker(WorkerConfig config)
+    : cfg_(std::move(config)), svc_(cfg_.service, [&wake = wake_] { wake.notify(); }) {
   if (!cfg_.graph_loader) cfg_.graph_loader = default_loader;
 }
 
@@ -125,13 +130,18 @@ Worker::SessionEnd Worker::run_session() {
 
   while (!done && !stop_.load(std::memory_order_relaxed)) {
     conn.pump_chaos();
-    std::vector<pollfd> fds;
     short events = POLLIN;
     if (conn.wants_write()) events |= POLLOUT;
-    fds.push_back(pollfd{conn.fd(), events, 0});
-    // Short timeout either way: pending tickets complete on service
-    // threads, not on this socket, so the loop must come back to look.
-    int wait_ms = pending_.empty() ? 50 : 10;
+    std::vector<pollfd> fds{pollfd{conn.fd(), events, 0}, pollfd{wake_.fd(), POLLIN, 0}};
+    // Finished tickets and request_stop() wake the poll through wake_, so
+    // the timeout only paces heartbeats (and the slow-writer check, at
+    // most kHousekeepingMs apart).
+    int wait_ms = kHousekeepingMs;
+    if (cfg_.heartbeat_interval.count() > 0) {
+      const auto due = std::chrono::ceil<std::chrono::milliseconds>(
+          last_heartbeat + cfg_.heartbeat_interval - Clock::now());
+      wait_ms = static_cast<int>(std::clamp<std::int64_t>(due.count(), 0, wait_ms));
+    }
     if (conn.chaos_pending()) wait_ms = std::min(wait_ms, 5);
     poll_wait(fds, wait_ms);
 
@@ -165,6 +175,9 @@ Worker::SessionEnd Worker::run_session() {
       return SessionEnd::ConnLost;
     }
 
+    // Drain before scanning: a ticket that completes after the scan
+    // looked at it notifies again, so the next poll wakes for it.
+    wake_.drain();
     poll_tickets(conn);
 
     if (draining && pending_.empty()) {
@@ -272,6 +285,9 @@ void Worker::handle_frame(Conn& conn, const wire::Frame& frame, bool& draining,
       service::Request req;
       req.graph_id = m.graph_id;
       req.options = options_from_shard(m);
+      // Only the coordinator's fold reads a partial, and it caches the
+      // folded answer itself.
+      req.cache_result = m.mode != wire::ShardMode::Partial;
       req.timeout = std::chrono::milliseconds(m.deadline_ms);
       if (m.has_budget != 0) {
         // v2 budgeted query (Whole mode): the local service runs its own

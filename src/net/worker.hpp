@@ -11,6 +11,16 @@
 // results back as they complete. Shard execution is asynchronous: the
 // poll loop keeps reading new shards while earlier ones compute, so one
 // worker can overlap as many shards as its service has worker threads.
+// The service's completion notifier writes an eventfd that sits in the
+// same poll set as the coordinator socket, so a finished shard is sent
+// the moment its ticket is fulfilled; the poll timeout only paces
+// heartbeats.
+//
+// Caching: Partial-shard results are not stored in the service's result
+// cache. Only the coordinator's fold reads them, and the coordinator
+// caches the folded answer under the whole query's key. Whole-mode
+// results (CPU and sampling strategies, budgeted queries) are cached as
+// usual.
 //
 // Determinism contract: a Partial-mode shard the local service answered
 // *degraded* (strategy substituted by the resilience ladder) is refused —
@@ -113,7 +123,10 @@ class Worker {
 
   /// Ask run() to return at its next loop iteration (thread-safe; the
   /// in-process tests run workers on std::thread).
-  void request_stop() noexcept { stop_.store(true, std::memory_order_relaxed); }
+  void request_stop() noexcept {
+    stop_.store(true, std::memory_order_relaxed);
+    wake_.notify();
+  }
 
   const WorkerStats& stats() const noexcept { return stats_; }
 
@@ -141,6 +154,10 @@ class Worker {
   void trace_instant(const char* name, std::uint64_t req, std::uint64_t shard) const;
 
   WorkerConfig cfg_;
+  /// Readable once a service ticket completes or request_stop() runs.
+  /// Declared before svc_: the service's threads call notify() until
+  /// svc_'s destructor joins them, so the eventfd must outlive them.
+  Waker wake_;
   service::BcService svc_;
   WorkerStats stats_;
   std::vector<PendingShard> pending_;

@@ -42,8 +42,9 @@ const char* to_string(QueryStatus status) noexcept {
   return "?";
 }
 
-BcService::BcService(ServiceConfig config)
+BcService::BcService(ServiceConfig config, std::function<void()> on_complete)
     : cfg_(std::move(config)),
+      on_complete_(std::move(on_complete)),
       cache_(cfg_.cache_bytes),
       approx_cache_(cfg_.approx.cache_bytes),
       queue_(cfg_.admission),
@@ -332,7 +333,7 @@ void BcService::trace_instant(const char* name, std::uint64_t id) const {
   sink->instant(name, trace::kService, cfg_.tracer->now_ns(), {{"id", id}});
 }
 
-Ticket BcService::ready_ticket(std::uint64_t id, Response response) {
+Ticket BcService::ready_ticket(std::uint64_t id, Response response, bool& answered) {
   std::promise<Response> promise;
   Ticket ticket;
   ticket.id = id;
@@ -340,10 +341,25 @@ Ticket BcService::ready_ticket(std::uint64_t id, Response response) {
   ticket.shed = response.shed;
   promise.set_value(std::move(response));
   ticket.future = promise.get_future().share();
+  answered = true;
   return ticket;
 }
 
+void BcService::complete(Inflight& entry, Response response) {
+  entry.promise.set_value(std::move(response));
+  if (on_complete_) on_complete_();
+}
+
 Ticket BcService::submit(Request request) {
+  bool answered = false;
+  Ticket t = submit_impl(std::move(request), answered);
+  // Here rather than in ready_ticket: several of its callers hold mu_, and
+  // on_complete_ is caller code.
+  if (answered && on_complete_) on_complete_();
+  return t;
+}
+
+Ticket BcService::submit_impl(Request request, bool& answered) {
   metrics_.on_submitted();
   const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
   trace_instant("submit", id);
@@ -351,7 +367,7 @@ Ticket BcService::submit(Request request) {
   // Deprecated-shim: QueryBudget::deadline supersedes the flat timeout.
   if (request.budget.deadline.count() > 0) request.timeout = request.budget.deadline;
   if (request.budget.active()) {
-    return submit_budgeted(std::move(request), id, submitted);
+    return submit_budgeted(std::move(request), id, submitted, answered);
   }
   util::Timer turnaround;
 
@@ -362,7 +378,7 @@ Ticket BcService::submit(Request request) {
     if (stopped_) {
       Response r;
       r.status = QueryStatus::ServiceStopped;
-      auto t = ready_ticket(id, std::move(r));
+      auto t = ready_ticket(id, std::move(r), answered);
       t.top_k = request.top_k;
       return t;
     }
@@ -373,7 +389,7 @@ Ticket BcService::submit(Request request) {
       Response r;
       r.status = QueryStatus::GraphNotFound;
       r.error = "no graph registered as '" + request.graph_id + "'";
-      auto t = ready_ticket(id, std::move(r));
+      auto t = ready_ticket(id, std::move(r), answered);
       t.top_k = request.top_k;
       return t;
     }
@@ -389,7 +405,7 @@ Ticket BcService::submit(Request request) {
       r.from_cache = true;
       r.total_ms = turnaround.elapsed_ms();
       metrics_.on_cache_hit(r.total_ms);
-      auto t = ready_ticket(id, std::move(r));
+      auto t = ready_ticket(id, std::move(r), answered);
       t.top_k = request.top_k;
       return t;
     }
@@ -418,7 +434,7 @@ Ticket BcService::submit(Request request) {
       trace_instant("reject-full", id);
       Response r;
       r.status = QueryStatus::QueueFull;
-      auto t = ready_ticket(id, std::move(r));
+      auto t = ready_ticket(id, std::move(r), answered);
       t.top_k = request.top_k;
       return t;
     }
@@ -427,14 +443,14 @@ Ticket BcService::submit(Request request) {
       trace_instant("reject-deadline", id);
       Response r;
       r.status = QueryStatus::DeadlineExceeded;
-      auto t = ready_ticket(id, std::move(r));
+      auto t = ready_ticket(id, std::move(r), answered);
       t.top_k = request.top_k;
       return t;
     }
     case Admit::RejectedClosed: {
       Response r;
       r.status = QueryStatus::ServiceStopped;
-      auto t = ready_ticket(id, std::move(r));
+      auto t = ready_ticket(id, std::move(r), answered);
       t.top_k = request.top_k;
       return t;
     }
@@ -459,7 +475,7 @@ Ticket BcService::submit(Request request) {
       queue_.cancel();
       Response r;
       r.status = QueryStatus::ServiceStopped;
-      auto t = ready_ticket(id, std::move(r));
+      auto t = ready_ticket(id, std::move(r), answered);
       t.top_k = request.top_k;
       return t;
     }
@@ -473,7 +489,7 @@ Ticket BcService::submit(Request request) {
       r.shed = shed;
       r.total_ms = turnaround.elapsed_ms();
       metrics_.on_cache_hit(r.total_ms);
-      auto t = ready_ticket(id, std::move(r));
+      auto t = ready_ticket(id, std::move(r), answered);
       t.top_k = request.top_k;
       return t;
     }
@@ -506,6 +522,7 @@ Ticket BcService::submit(Request request) {
     job.options = std::move(request.options);
     job.submitted = submitted;
     job.deadline = deadline;
+    job.cache_result = request.cache_result;
     queue_.push(std::move(job));
     trace_instant("enqueue", id);
   }
@@ -519,10 +536,10 @@ Ticket BcService::submit(Request request) {
 }
 
 Ticket BcService::submit_budgeted(Request request, std::uint64_t id,
-                                  Clock::time_point submitted) {
+                                  Clock::time_point submitted, bool& answered) {
   util::Timer turnaround;
   const auto finish = [&](Response r) {
-    auto t = ready_ticket(id, std::move(r));
+    auto t = ready_ticket(id, std::move(r), answered);
     t.top_k = request.top_k;
     return t;
   };
@@ -1224,7 +1241,8 @@ void BcService::worker_loop() {
 
           // Degraded results are substitutes (or partial) — never cached, so
           // an identical later request gets a fresh shot at the real answer.
-          if (!degraded) {
+          // Requests marked not-to-store skip the cache as well.
+          if (!degraded && job->cache_result) {
             auto cached = std::make_shared<CachedResult>();
             cached->result = std::move(computed);
             cached->bytes = estimate_result_bytes(cached->result);
@@ -1280,7 +1298,7 @@ void BcService::worker_loop() {
       const auto it = inflight_.find(entry->key);
       if (it != inflight_.end() && it->second == entry) inflight_.erase(it);
     }
-    entry->promise.set_value(std::move(resp));
+    complete(*entry, std::move(resp));
   }
 }
 
@@ -1328,7 +1346,7 @@ void BcService::stop() {
     }
     Response r;
     r.status = QueryStatus::ServiceStopped;
-    job->entry->promise.set_value(std::move(r));
+    complete(*job->entry, std::move(r));
   }
 }
 

@@ -87,6 +87,11 @@ struct Request {
   /// the next root boundary and yields DeadlineExceeded then (see
   /// docs/resilience.md).
   std::chrono::milliseconds timeout{0};
+  /// false: a computed exact result is returned but not put in the result
+  /// cache, so an identical later request computes again. Cache lookup
+  /// and in-flight coalescing still apply. net::Worker clears it for
+  /// Partial shards, whose results only the coordinator's fold reads.
+  bool cache_result = true;
 };
 
 struct Response {
@@ -245,7 +250,16 @@ struct MutationResult {
 
 class BcService {
  public:
-  explicit BcService(ServiceConfig config = {});
+  /// `on_complete`, when set, is called once after every promise the
+  /// service fulfils: on submit()'s thread for tickets answered at once
+  /// (cache hits, rejections), on a service worker for queued jobs (also
+  /// those stop() cancels), and on stop()'s thread for any job still
+  /// queued once the workers have exited. A coalesced ticket shares its
+  /// leader's promise, so it is covered by the leader's call. It must be
+  /// thread-safe and must not call back into the service. net::Worker
+  /// points it at the eventfd its poll loop waits on.
+  explicit BcService(ServiceConfig config = {},
+                     std::function<void()> on_complete = {});
   ~BcService();
 
   BcService(const BcService&) = delete;
@@ -391,6 +405,7 @@ class BcService {
     core::Options options;
     std::chrono::steady_clock::time_point submitted;
     std::chrono::steady_clock::time_point deadline;
+    bool cache_result = true;  // Request::cache_result
     /// Progressive-approximation jobs (budget.active()): the contract,
     /// the contract-free approx-cache key, and the graph fingerprint at
     /// submit time. rung0_cap is the quality dial — set when admission
@@ -412,11 +427,18 @@ class BcService {
     QueryBudget budget;
   };
 
-  static Ticket ready_ticket(std::uint64_t id, Response response);
+  /// A ticket whose future is already fulfilled with `response`; sets
+  /// `answered` so submit() fires on_complete_ once it has left mu_.
+  static Ticket ready_ticket(std::uint64_t id, Response response, bool& answered);
+  /// submit() without the on_complete_ call for tickets it answers itself.
+  Ticket submit_impl(Request request, bool& answered);
+  /// Fulfil a job's promise and fire on_complete_.
+  void complete(Inflight& entry, Response response);
   /// The budgeted (progressive) submit path: approx-cache lookup,
   /// contract-keyed coalescing, admission (Shed = rung-0 cap), enqueue.
   Ticket submit_budgeted(Request request, std::uint64_t id,
-                         std::chrono::steady_clock::time_point submitted);
+                         std::chrono::steady_clock::time_point submitted,
+                         bool& answered);
   /// Worker-side progressive controller: upgrade the entry stratum by
   /// stratum until the contract is met (or rung 0 with refinement),
   /// publishing at each fold. Fills resp; throws like compute paths do.
@@ -442,6 +464,7 @@ class BcService {
                                    bool& degraded);
 
   ServiceConfig cfg_;
+  std::function<void()> on_complete_;
   ResultCache cache_;
   ApproxCache approx_cache_;
   AdmissionQueue<Job> queue_;

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "cpu/approx.hpp"
 #include "cpu/brandes.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -131,6 +134,49 @@ TEST(AdaptiveApprox, InvalidTargetReturnsZero) {
   const auto r = cpu::adaptive_bc(g, 100);
   EXPECT_EQ(r.pivots_used, 0u);
   EXPECT_EQ(r.bc_estimate, 0.0);
+}
+
+// Both estimators run their pivots over one reused cpu::SingleSource.
+// Their bits must equal the per-pivot path that gives every pivot a fresh
+// workspace through single_source_dependencies.
+TEST(ApproxWorkspaceReuse, BitsMatchFreshWorkspacePerPivot) {
+  for (const char* family : {"kron", "rgg"}) {
+    const CSRGraph g = graph::gen::family_by_name(family).make(9, 3);
+    const VertexId n = g.num_vertices();
+    constexpr std::uint32_t kPivots = 96;
+    constexpr std::uint64_t kSeed = 11;
+
+    std::vector<double> want(n, 0.0);
+    util::Xoshiro256 rng(kSeed);
+    for (std::uint32_t k = 0; k < kPivots; ++k) {
+      const auto s = static_cast<VertexId>(rng.next_below(n));
+      const auto delta = cpu::single_source_dependencies(g, s);
+      for (VertexId v = 0; v < n; ++v) {
+        if (v != s) want[v] += delta[v];
+      }
+    }
+    for (double& x : want) x *= static_cast<double>(n) / kPivots;
+    const auto uniform = cpu::approximate_bc(g, {.num_pivots = kPivots, .seed = kSeed});
+    ASSERT_EQ(uniform.bc.size(), want.size());
+    EXPECT_EQ(0, std::memcmp(uniform.bc.data(), want.data(), n * sizeof(double)))
+        << family;
+
+    // Adaptive: a threshold too high to fire, so every capped pivot runs.
+    const VertexId target = n / 2;
+    double accumulated = 0.0;
+    rng = util::Xoshiro256(kSeed);
+    for (std::uint32_t k = 0; k < kPivots; ++k) {
+      const auto s = static_cast<VertexId>(rng.next_below(n));
+      if (s != target) accumulated += cpu::single_source_dependencies(g, s)[target];
+    }
+    const double want_estimate = static_cast<double>(n) * accumulated / kPivots;
+    const auto adaptive =
+        cpu::adaptive_bc(g, target, {.c = 1e9, .max_pivots = kPivots, .seed = kSeed});
+    EXPECT_EQ(adaptive.pivots_used, kPivots);
+    EXPECT_FALSE(adaptive.threshold_hit);
+    EXPECT_EQ(0, std::memcmp(&adaptive.bc_estimate, &want_estimate, sizeof(double)))
+        << family;
+  }
 }
 
 }  // namespace

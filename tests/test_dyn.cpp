@@ -21,6 +21,7 @@
 #include "cpu/dynamic_bc.hpp"
 #include "dyn/incremental_bc.hpp"
 #include "dyn/versioned_graph.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "service/service.hpp"
@@ -327,6 +328,88 @@ TEST(IncrementalBC, BitwiseDeterminismAcrossThreadCounts) {
   }
   EXPECT_EQ(0, std::memcmp(fallback[0].data(), fallback[1].data(),
                            fallback[0].size() * sizeof(double)));
+}
+
+// exact_scores and refresh_scores run each stripe's sources over one
+// reused cpu::SingleSource per graph. The reference below is the
+// per-source path, a fresh workspace per call, striped and folded the
+// same way; the bits must match.
+TEST(IncrementalBC, WorkspaceReuseKeepsPerSourceBits) {
+  constexpr std::size_t kStripes = 8;
+  const auto striped = [&](std::size_t count, const auto& add_source) {
+    std::vector<std::vector<double>> partials;
+    const std::size_t per = count / kStripes, extra = count % kStripes;
+    std::size_t begin = 0;
+    for (std::size_t c = 0; c < kStripes && begin < count; ++c) {
+      const std::size_t end = begin + per + (c < extra ? 1 : 0);
+      if (end > begin) {
+        partials.emplace_back();
+        for (std::size_t i = begin; i < end; ++i) add_source(partials.back(), i);
+      }
+      begin = end;
+    }
+    return partials;
+  };
+
+  for (const char* family : {"kron", "rgg"}) {
+    const auto g = std::make_shared<const CSRGraph>(
+        graph::gen::family_by_name(family).make(9, 5));
+    const VertexId n = g->num_vertices();
+    util::ThreadPool pool(3);
+
+    std::vector<double> want(n, 0.0);
+    for (const auto& partial : striped(n, [&](std::vector<double>& p, std::size_t s) {
+           if (p.empty()) p.assign(n, 0.0);
+           cpu::brandes_single_source(*g, static_cast<VertexId>(s), p);
+         })) {
+      for (VertexId v = 0; v < n; ++v) want[v] += partial[v];
+    }
+    const std::vector<double> exact = dyn::exact_scores(*g, pool, kStripes);
+    ASSERT_EQ(exact.size(), want.size());
+    EXPECT_EQ(0, std::memcmp(exact.data(), want.data(), n * sizeof(double))) << family;
+
+    // refresh_scores on its incremental path (churn threshold 1). The
+    // affected sources follow its level test on both snapshots.
+    const dyn::VersionedGraph versioned(g);
+    const dyn::CommitResult staged = versioned.stage(mixed_batch(*g, 3, 2, 23));
+    ASSERT_FALSE(staged.applied.empty());
+    const CSRGraph& before = *staged.before.graph;
+    const CSRGraph& after = *staged.after.graph;
+    std::vector<bool> hit(n, false);
+    for (const dyn::EdgeUpdate& e : staged.applied) {
+      for (const CSRGraph* snap : {&before, &after}) {
+        const auto du = graph::bfs(*snap, e.u).distance;
+        const auto dv = graph::bfs(*snap, e.v).distance;
+        for (VertexId s = 0; s < n; ++s) hit[s] = hit[s] || du[s] != dv[s];
+      }
+    }
+    std::vector<VertexId> affected;
+    for (VertexId s = 0; s < n; ++s) {
+      if (hit[s]) affected.push_back(s);
+    }
+    std::vector<double> want_refreshed = exact;
+    for (const auto& partial :
+         striped(affected.size(), [&](std::vector<double>& p, std::size_t i) {
+           if (p.empty()) p.assign(n, 0.0);
+           const VertexId s = affected[i];
+           const auto old_delta = cpu::single_source_dependencies(before, s);
+           const auto new_delta = cpu::single_source_dependencies(after, s);
+           for (VertexId w = 0; w < n; ++w) {
+             if (w != s) p[w] += new_delta[w] - old_delta[w];
+           }
+         })) {
+      for (VertexId v = 0; v < n; ++v) want_refreshed[v] += partial[v];
+    }
+    dyn::IncrementalConfig cfg = inc_cfg(3, /*churn_threshold=*/1.0);
+    cfg.reduce_stripes = kStripes;
+    std::vector<double> refreshed = exact;
+    const dyn::BatchStats stats =
+        dyn::refresh_scores(before, after, staged.applied, refreshed, pool, cfg);
+    EXPECT_FALSE(stats.full_recompute);
+    EXPECT_EQ(stats.affected_sources, affected.size()) << family;
+    EXPECT_EQ(0, std::memcmp(refreshed.data(), want_refreshed.data(), n * sizeof(double)))
+        << family;
+  }
 }
 
 // ------------------------------------------------------------- service

@@ -12,6 +12,7 @@
 
 #include <sys/socket.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -352,6 +353,58 @@ TEST(NetDistributed, CacheHitOnRepeatAndGraphNotFound) {
   missing.options.strategy = core::Strategy::WorkEfficient;
   EXPECT_EQ(fleet.coordinator->query(missing).status,
             service::QueryStatus::GraphNotFound);
+}
+
+TEST(NetDistributed, WorkersCacheWholeResultsButNotPartialShards) {
+  // With the coordinator's own cache off, a repeated query reaches the
+  // worker again. Its Partial shards are recomputed (only the
+  // coordinator's fold reads them); a Whole query is served from the
+  // worker's cache. One worker, so every shard lands on the same cache.
+  const auto g = std::make_shared<const graph::CSRGraph>(test_graph());
+  auto computes = std::make_shared<std::atomic<std::uint64_t>>(0);
+  net::WorkerConfig wc = in_memory_worker(g);
+  wc.service.compute_fn = [computes](const graph::CSRGraph& graph,
+                                     const core::Options& o) {
+    computes->fetch_add(1);
+    return core::compute(graph, o);
+  };
+  std::vector<net::WorkerConfig> cfgs;
+  cfgs.push_back(std::move(wc));
+  net::CoordinatorConfig cc;
+  cc.cache_bytes = 0;
+  Fleet fleet(1, std::move(cc), std::move(cfgs));
+  ASSERT_EQ(fleet.coordinator->load_graph("g0", g, ""), 1u);
+
+  core::Options partial;
+  partial.strategy = core::Strategy::WorkEfficient;
+  const std::uint64_t shards = partial.device.num_sms;  // < n: none empty
+  const core::BCResult partial_standalone = core::compute(*g, partial);
+  service::Request req;
+  req.graph_id = "g0";
+  req.options = partial;
+  for (int round = 1; round <= 2; ++round) {
+    const std::uint64_t before = computes->load();
+    const service::Response resp = fleet.coordinator->query(req);
+    ASSERT_TRUE(resp.ok()) << resp.error;
+    EXPECT_FALSE(resp.from_cache);
+    EXPECT_TRUE(bitwise_equal(resp.result->scores, partial_standalone.scores))
+        << "round " << round;
+    EXPECT_GE(computes->load() - before, shards) << "round " << round;
+  }
+
+  core::Options whole;
+  whole.strategy = core::Strategy::CpuSerial;
+  const core::BCResult whole_standalone = core::compute(*g, whole);
+  req.options = whole;
+  const std::uint64_t before = computes->load();
+  for (int round = 1; round <= 2; ++round) {
+    const service::Response resp = fleet.coordinator->query(req);
+    ASSERT_TRUE(resp.ok()) << resp.error;
+    EXPECT_TRUE(bitwise_equal(resp.result->scores, whole_standalone.scores))
+        << "round " << round;
+  }
+  EXPECT_EQ(computes->load() - before, 1u);
+  EXPECT_GE(fleet.coordinator->stats().whole_queries, 2u);
 }
 
 TEST(NetDistributed, BadRootsAreBadRequest) {

@@ -8,7 +8,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <functional>
+#include <future>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -400,6 +403,157 @@ TEST(BcServiceTest, StopIsIdempotentAndRefusesNewWork) {
   svc.stop();
   EXPECT_EQ(svc.query({.graph_id = "g", .options = exact_cpu_options()}).status,
             QueryStatus::ServiceStopped);
+}
+
+// ---------------------------------------------------------------------------
+// Completion notifier and not-to-store requests. Notifier counts are read
+// after stop(), which joins every thread that calls it.
+
+/// An exact cpu-serial request on graph "g".
+Request exact_request() {
+  Request r;
+  r.graph_id = "g";
+  r.options = exact_cpu_options();
+  return r;
+}
+
+struct NotifyCounter {
+  std::atomic<int> calls{0};
+  std::function<void()> fn() {
+    return [this] { calls.fetch_add(1); };
+  }
+};
+
+/// compute_fn that holds its worker until the job's cancel token fires
+/// (its deadline passes or stop() cancels it), then unwinds.
+core::BCResult compute_until_cancelled(const graph::CSRGraph&, const core::Options& o) {
+  while (!o.resilience.cancel.cancelled()) std::this_thread::yield();
+  o.resilience.cancel.check();
+  return {};
+}
+
+TEST(BcServiceNotifier, FiresOnceAfterEachComputeAndCacheHit) {
+  auto gate = std::make_shared<ComputeGate>();
+  std::mutex mu;
+  std::shared_future<Response> watched;
+  std::atomic<int> ready_when_called{0};
+  NotifyCounter count;
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.compute_fn = [gate](const graph::CSRGraph& g, const core::Options& o) {
+    return gate->run(g, o);
+  };
+  BcService svc(cfg, [&] {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (watched.valid() &&
+          watched.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+        ready_when_called.fetch_add(1);
+      }
+    }
+    count.calls.fetch_add(1);
+  });
+  svc.load_graph("g", test_graph());
+
+  const Request req = exact_request();
+  const Ticket computed = svc.submit(req);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    watched = computed.future;
+  }
+  gate->release();
+  ASSERT_TRUE(svc.wait(computed).ok());
+
+  const Ticket hit = svc.submit(req);
+  EXPECT_TRUE(hit.cache_hit);
+  ASSERT_TRUE(svc.wait(hit).ok());
+  svc.stop();
+  EXPECT_EQ(count.calls.load(), 2);
+  // The computed job's promise was already fulfilled when it notified.
+  EXPECT_EQ(ready_when_called.load(), 2);
+}
+
+TEST(BcServiceNotifier, FiresOnceWhenComputeThrows) {
+  NotifyCounter count;
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.compute_fn = [](const graph::CSRGraph&, const core::Options&) -> core::BCResult {
+    throw std::runtime_error("compute blew up");
+  };
+  BcService svc(cfg, count.fn());
+  svc.load_graph("g", test_graph());
+  const Response r = svc.query(exact_request());
+  EXPECT_EQ(r.status, QueryStatus::Failed);
+  svc.stop();
+  EXPECT_EQ(count.calls.load(), 1);
+}
+
+TEST(BcServiceNotifier, FiresOnceOnDeadlineExceeded) {
+  NotifyCounter count;
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.compute_fn = compute_until_cancelled;
+  BcService svc(cfg, count.fn());
+  svc.load_graph("g", test_graph());
+  Request req = exact_request();
+  req.timeout = std::chrono::milliseconds(1);
+  EXPECT_EQ(svc.query(req).status, QueryStatus::DeadlineExceeded);
+  svc.stop();
+  EXPECT_EQ(count.calls.load(), 1);
+}
+
+TEST(BcServiceNotifier, FiresOnceForEachJobStopDrains) {
+  NotifyCounter count;
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.compute_fn = compute_until_cancelled;
+  BcService svc(cfg, count.fn());
+  svc.load_graph("g", test_graph());
+  // Two distinct requests: one holds the only worker, one waits queued.
+  // stop() cancels the first and completes the second without computing.
+  Request a = exact_request();
+  Request b = a;
+  b.options.seed = 7;
+  b.options.sample_roots = 16;
+  const Ticket ta = svc.submit(a);
+  const Ticket tb = svc.submit(b);
+  svc.stop();
+  EXPECT_EQ(svc.wait(ta).status, QueryStatus::ServiceStopped);
+  EXPECT_EQ(svc.wait(tb).status, QueryStatus::ServiceStopped);
+  EXPECT_EQ(count.calls.load(), 2);
+}
+
+TEST(BcServiceTest, NotToStoreRequestIsRecomputedAndDefaultIsCached) {
+  std::atomic<int> computes{0};
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.compute_fn = [&computes](const graph::CSRGraph& g, const core::Options& o) {
+    computes.fetch_add(1);
+    return core::compute(g, o);
+  };
+  BcService svc(cfg);
+  svc.load_graph("g", test_graph());
+
+  Request transient = exact_request();
+  transient.cache_result = false;
+  const Response first = svc.query(transient);
+  const Response second = svc.query(transient);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_FALSE(first.from_cache);
+  EXPECT_FALSE(second.from_cache);
+  EXPECT_EQ(computes.load(), 2);
+  EXPECT_EQ(svc.metrics().cache_entries, 0u);
+  EXPECT_EQ(std::memcmp(first.result->scores.data(), second.result->scores.data(),
+                        first.result->scores.size() * sizeof(double)),
+            0);
+
+  const Request stored = exact_request();
+  ASSERT_TRUE(svc.query(stored).ok());
+  const Response hit = svc.query(stored);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit.from_cache);
+  EXPECT_EQ(computes.load(), 3);
 }
 
 TEST(BcServiceTest, MixedWorkloadProducesMeaningfulMetrics) {
